@@ -152,7 +152,8 @@ def _eval_acdp4(g: Graph, k: int) -> BoundValue:
     return _ok(name, hyp, Fraction(num, den))
 
 
-def _eval_acdp5(g: Graph, k: int) -> BoundValue:
+def _eval_acdp5(g: Graph, k: int, k_connected: bool | None = None) -> BoundValue:
+    """`k_connected`, when given, is is_k_connected(g, k) already computed."""
     hyp = "k-connected; n > k; Delta >= 2"
     name = "acdp5"
     if g.n <= k:
@@ -160,7 +161,9 @@ def _eval_acdp5(g: Graph, k: int) -> BoundValue:
     s = degrees(g)
     if s.delta_max < 2:
         return _na(name, hyp, f"Delta={s.delta_max} < 2")
-    if not is_k_connected(g, k):
+    if k_connected is None:
+        k_connected = is_k_connected(g, k)
+    if not k_connected:
         return _na(name, hyp, f"not {k}-connected")
     return _ok(name, hyp, Fraction((s.delta_max - 2) * g.n + 2, s.delta_max + k - 2))
 
@@ -227,7 +230,7 @@ def all_bounds(
         _eval_cor2(g, k),
         _eval_cor3(g) if k == 1 else _na("cor3", "connected; Delta >= 2; k=1", f"k={k} != 1"),
         _eval_acdp4(g, k),
-        _eval_acdp5(g, k),
+        _eval_acdp5(g, k, k_checked.get(k)),
     )
     return BoundsReport(
         n=g.n,

@@ -51,46 +51,90 @@ def _check_vertices(g: Graph, s) -> frozenset[int]:
     return vs
 
 
-def closure(g: Graph, s, k: int) -> ForcingTrace:
-    """Run the round-synchronous k-forcing process from s to its fixed point."""
+class _Engine:
+    """Live state of the process: colored flags and uncolored-neighbor counts.
+
+    `run` plays the rounds exactly as `closure` defines them, but a round only
+    examines the vertices whose color or count changed since the previous
+    round: a vertex whose state did not change either fired in that round,
+    and so has no uncolored neighbor left, or was not eligible and still is
+    not.  Every vertex is colored at most once and every edge decrements a
+    count at most once, so one closure costs O(n + m) in total.  After a
+    fixed point, `color` may add vertices and `run` resumes from there.
+    """
+
+    __slots__ = ("adjacency", "k", "colored", "unc", "n_colored", "_pending")
+
+    def __init__(self, g: Graph, k: int):
+        self.adjacency = g.adjacency
+        self.k = k
+        self.colored = bytearray(g.n)
+        self.unc = [len(nbrs) for nbrs in g.adjacency]
+        self.n_colored = 0
+        self._pending: set[int] = set()
+
+    def color(self, vertices) -> None:
+        """Color `vertices` at once; they and their colored neighbors get re-examined."""
+        adjacency, colored, unc, pending = self.adjacency, self.colored, self.unc, self._pending
+        for w in vertices:
+            if colored[w]:
+                continue
+            colored[w] = 1
+            self.n_colored += 1
+            pending.add(w)
+            for x in adjacency[w]:
+                unc[x] -= 1
+                if colored[x]:
+                    pending.add(x)
+
+    def run(
+        self, events: list[ForcingEvent] | None = None, touched: list[int] | None = None
+    ) -> int:
+        """Fire round by round to the fixed point; returns the rounds that forced.
+
+        Forcers fire in ascending order against the state at the start of the
+        round.  When `events` is a list, one event per forcer is appended.
+        When `touched` is a list, every colored vertex whose count changed or
+        that became colored is appended to it (possibly more than once).
+        """
+        adjacency, colored, unc, k = self.adjacency, self.colored, self.unc, self.k
+        rounds = 0
+        while self._pending:
+            candidates, self._pending = sorted(self._pending), set()
+            if touched is not None:
+                touched.extend(candidates)
+            new: list[int] = []
+            for v in candidates:
+                if colored[v] and 0 < unc[v] <= k:
+                    forced = sorted(w for w in adjacency[v] if not colored[w])
+                    new.extend(forced)
+                    if events is not None:
+                        events.append(ForcingEvent(rounds + 1, v, tuple(forced)))
+            if not new:
+                break
+            rounds += 1
+            self.color(new)
+        return rounds
+
+
+def _check_k(k: int) -> None:
     if k < 1:
         raise VertexOutOfRangeError(f"k must be a positive integer, got {k}")
+
+
+def closure(g: Graph, s, k: int) -> ForcingTrace:
+    """Run the round-synchronous k-forcing process from s to its fixed point.
+
+    Events are listed by round, forcers ascending within a round, each with
+    its forced vertices sorted.  O(n + m) per call (see `_Engine`).
+    """
+    _check_k(k)
     initial = _check_vertices(g, s)
-    masks = g.neighbor_masks
-    colored_mask = 0
-    for v in initial:
-        colored_mask |= 1 << v
-    full = (1 << g.n) - 1
-
+    engine = _Engine(g, k)
+    engine.color(initial)
     events: list[ForcingEvent] = []
-    rounds = 0
-    while colored_mask != full:
-        rounds += 1
-        new_mask = 0
-        fired = False
-        mask = colored_mask
-        while mask:
-            v_bit = mask & -mask
-            mask ^= v_bit
-            v = v_bit.bit_length() - 1
-            unc = masks[v] & ~colored_mask
-            cnt = unc.bit_count()
-            if 1 <= cnt <= k:
-                forced = []
-                u = unc
-                while u:
-                    w_bit = u & -u
-                    u ^= w_bit
-                    forced.append(w_bit.bit_length() - 1)
-                events.append(ForcingEvent(round=rounds, forcer=v, forced=tuple(forced)))
-                new_mask |= unc
-                fired = True
-        if not fired:
-            rounds -= 1
-            break
-        colored_mask |= new_mask
-
-    final = frozenset(v for v in range(g.n) if colored_mask >> v & 1)
+    rounds = engine.run(events)
+    final = frozenset(v for v, c in enumerate(engine.colored) if c)
     return ForcingTrace(
         initial=ColorState(initial),
         events=tuple(events),
@@ -102,7 +146,12 @@ def closure(g: Graph, s, k: int) -> ForcingTrace:
 def closure_mask(g: Graph, start_mask: int, k: int) -> int:
     """Fixed point of the rule on int bitmasks; agrees with closure().final.
 
-    Trace-free fast path for the exact solver's inner loop.
+    Trace-free fast path for the exact solver's inner loop.  Each round
+    rescans every colored vertex, O(n * rounds) word operations, which is
+    cheaper than the worklist engine at the exact solver's n: 20,000 closures
+    of 8-vertex sets on the seeded G(20, 0.4) took 0.04-0.06 s through this
+    function and 0.22-0.29 s through `_Engine` (CPU time, Python 3.11,
+    2-vCPU x86_64 VM).
     """
     masks = g.neighbor_masks
     full = (1 << g.n) - 1
@@ -123,7 +172,12 @@ def closure_mask(g: Graph, start_mask: int, k: int) -> int:
 
 
 def is_k_forcing_set(g: Graph, s, k: int) -> bool:
-    return len(closure(g, s, k).final.colored) == g.n
+    """Whether the closure of s colors all of g; builds no trace."""
+    _check_k(k)
+    engine = _Engine(g, k)
+    engine.color(_check_vertices(g, s))
+    engine.run()
+    return engine.n_colored == g.n
 
 
 def stalled_frontier(g: Graph, state: ColorState, k: int) -> list[tuple[int, int]]:

@@ -13,12 +13,13 @@ All ties break to the lowest vertex index so a run is fully deterministic.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 from .bounds import thm2iii_value
-from .errors import EmptyGraphError, KForcingError, NotConnectedError
-from .forcing import ColorState, ForcingTrace, closure, stalled_frontier
+from .errors import EmptyGraphError, KForcingError, NotAFixedPointError, NotConnectedError
+from .forcing import ColorState, ForcingEvent, ForcingTrace, _Engine, closure
 from .graph import Graph, build_graph, connected_components, degrees
 
 PROP1 = "PROP1"
@@ -57,18 +58,6 @@ def _min_degree_vertex(g: Graph) -> int:
     return best
 
 
-def _pick_stalled(g: Graph, colored: frozenset[int], k: int, strategy: str) -> tuple[int, int]:
-    """Choose the stalled vertex to repair; returns (u, uncolored_count)."""
-    frontier = stalled_frontier(g, ColorState(colored), k)
-    if not frontier:
-        raise KForcingError("stalled with no colored vertex on the frontier")
-    if strategy == "min_augmentation":
-        return min(frontier, key=lambda item: (item[1] - k, item[0]))
-    if strategy == "max_degree":
-        return min(frontier, key=lambda item: (-g.degree(item[0]), item[0]))
-    raise KForcingError(f"unknown strategy {strategy!r}")
-
-
 def greedy_k_forcing_set(g: Graph, k: int, strategy: str = "min_augmentation") -> GreedyResult:
     """Build a k-forcing set for a connected graph, sized per the case bound."""
     if g.n < 1:
@@ -77,6 +66,8 @@ def greedy_k_forcing_set(g: Graph, k: int, strategy: str = "min_augmentation") -
         raise NotConnectedError("greedy_k_forcing_set requires a connected graph")
     if k < 1:
         raise KForcingError(f"k must be a positive integer, got {k}")
+    if strategy not in STRATEGIES:
+        raise KForcingError(f"unknown strategy {strategy!r}")
     summary = degrees(g)
     delta, big_delta = summary.delta_min, summary.delta_max
 
@@ -97,33 +88,61 @@ def greedy_k_forcing_set(g: Graph, k: int, strategy: str = "min_augmentation") -
 
     # Delta >= k+2: seed a minimum-degree vertex plus max{0, delta-k} of its
     # neighbors, then repeatedly repair stalls until everything is colored.
+    # One live engine state carries the process across every augmentation.
+    # The stalled frontier (colored vertices with uncolored neighbors) sits in
+    # a heap ordered by the strategy's key, fed with every vertex the engine
+    # reports touched.  Counts only fall, so a vertex's newest entry is also
+    # its smallest and surfaces first; older ones surface only after it left
+    # the frontier, and entries of vertices off the frontier are dropped.
     v = _min_degree_vertex(g)
     seed_neighbors = sorted(g.adjacency[v])[: max(0, delta - k)]
     team = set([v] + seed_neighbors)
-    colored = closure(g, team, k).final.colored
+    engine = _Engine(g, k)
+    colored, unc = engine.colored, engine.unc
+    # min_augmentation orders by a_u = unc - k, which is the order of unc.
+    key = unc.__getitem__ if strategy == "min_augmentation" else (lambda u: -g.degree(u))
+    frontier: list[tuple[int, int]] = []
+    touched: list[int] = []
+    engine.color(team)
+    engine.run(touched=touched)
     augmentations: list[Augmentation] = []
-    while len(colored) < g.n:
-        u, unc_count = _pick_stalled(g, colored, k, strategy)
-        a_u = unc_count - k
-        assert u != v, "stall at the seed vertex itself"
-        assert any(w in colored for w in g.adjacency[u]), f"stalled {u} has no colored neighbor"
-        assert a_u <= g.degree(u) - k - 1, f"augmentation {a_u} exceeds deg({u})-k-1"
-        extra = sorted(w for w in g.adjacency[u] if w not in colored)[:a_u]
+    while engine.n_colored < g.n:
+        for u in touched:
+            if unc[u]:
+                heapq.heappush(frontier, (key(u), u))
+        touched.clear()
+        while frontier and not unc[frontier[0][1]]:
+            heapq.heappop(frontier)
+        if not frontier:
+            raise KForcingError("stalled with no colored vertex on the frontier")
+        u = frontier[0][1]
+        a_u = unc[u] - k
+        if a_u < 1:
+            raise NotAFixedPointError(
+                f"stalled vertex {u} can still force ({unc[u]} uncolored neighbors, k={k})"
+            )
+        if u == v:
+            raise KForcingError(f"stall at the seed vertex {v}")
+        if not any(colored[w] for w in g.adjacency[u]):
+            raise KForcingError(f"stalled vertex {u} has no colored neighbor")
+        if a_u > g.degree(u) - k - 1:
+            raise KForcingError(
+                f"augmentation a_u={a_u} at {u} exceeds deg(u)-k-1={g.degree(u) - k - 1}"
+            )
+        extra = sorted(w for w in g.adjacency[u] if not colored[w])[:a_u]
         augmentations.append(Augmentation(u, tuple(extra), a_u))
         team.update(extra)
-        colored = closure(g, colored | set(extra), k).final.colored
+        engine.color(extra)
+        engine.run(touched=touched)
 
     bound = thm2iii_value(g, k)
-    assert len(team) <= math.floor(bound), (
-        f"|T|={len(team)} exceeds the case bound {bound}"
-    )
+    if len(team) > math.floor(bound):
+        raise KForcingError(f"|T|={len(team)} exceeds floor(thm2iii)={math.floor(bound)} ({bound})")
     team_frozen = frozenset(team)
     return GreedyResult(team_frozen, THM_III, v, tuple(augmentations), closure(g, team_frozen, k))
 
 
 def _relabel_trace(trace: ForcingTrace, mapping: list[int]) -> ForcingTrace:
-    from .forcing import ForcingEvent
-
     return ForcingTrace(
         initial=ColorState(frozenset(mapping[v] for v in trace.initial.colored)),
         events=tuple(
@@ -143,8 +162,11 @@ def greedy_per_component(g: Graph, k: int, strategy: str = "min_augmentation") -
     """
     if g.n < 1:
         raise EmptyGraphError("graph must have at least one vertex")
+    components = connected_components(g)
+    if len(components) == 1:
+        return [greedy_k_forcing_set(g, k, strategy)]
     results = []
-    for comp in connected_components(g):
+    for comp in components:
         mapping = comp
         local_index = {orig: i for i, orig in enumerate(comp)}
         local_edges = [

@@ -70,3 +70,65 @@ def validate_trace(g, trace, k: int) -> None:
     for v in colored:
         unc = sum(1 for w in g.adjacency[v] if w not in colored)
         assert unc == 0 or unc > k, "final state is not a fixed point"
+
+
+def naive_trace(g, s, k: int):
+    """Round-synchronous traced closure via sets: (events, rounds, final).
+
+    Every colored vertex is rescanned each round; events are
+    (round, forcer, forced) with forcers ascending and forced sorted.
+    """
+    colored = set(s)
+    events = []
+    rounds = 0
+    while True:
+        fired = []
+        for v in sorted(colored):
+            unc = sorted(w for w in g.adjacency[v] if w not in colored)
+            if 1 <= len(unc) <= k:
+                fired.append((rounds + 1, v, tuple(unc)))
+        if not fired:
+            return events, rounds, colored
+        rounds += 1
+        events.extend(fired)
+        for _, _, forced in fired:
+            colored.update(forced)
+
+
+def naive_greedy(g, k: int, strategy: str = "min_augmentation"):
+    """The greedy construction recomputed from scratch at every stall.
+
+    Returns (forcing_set, case_taken, seed_vertex, augmentations) with
+    augmentations as (u, colored_neighbors, a_u) triples.  After each
+    augmentation the closure is rerun from the whole colored set and the
+    frontier is rescanned over every vertex.
+    """
+    n = len(g.adjacency)
+    deg = [len(nbrs) for nbrs in g.adjacency]
+    delta, big_delta = min(deg), max(deg)
+    v = min(range(n), key=lambda x: (deg[x], x))
+    if big_delta <= k:
+        return {v}, "PROP1", v, []
+    if big_delta == k + 1:
+        if delta < big_delta:
+            return {v}, "THM_I", v, []
+        w = min(g.adjacency[0])
+        return {0, w}, "THM_II", (0, w), []
+    team = {v} | set(sorted(g.adjacency[v])[: max(0, delta - k)])
+    colored = naive_closure(g, team, k)
+    augmentations = []
+    while len(colored) < n:
+        frontier = []
+        for u in range(n):
+            unc = sum(1 for w in g.adjacency[u] if w not in colored)
+            if u in colored and unc > 0:
+                frontier.append((u, unc))
+        if strategy == "min_augmentation":
+            u, unc = min(frontier, key=lambda item: (item[1], item[0]))
+        else:
+            u, unc = min(frontier, key=lambda item: (-deg[item[0]], item[0]))
+        extra = tuple(sorted(w for w in g.adjacency[u] if w not in colored)[: unc - k])
+        augmentations.append((u, extra, unc - k))
+        team |= set(extra)
+        colored = naive_closure(g, colored | set(extra), k)
+    return team, "THM_III", v, augmentations

@@ -138,6 +138,26 @@ def test_all_bounds_petersen():
     assert report.exact_f_k == 5
 
 
+def test_all_bounds_tests_k_connectivity_once(monkeypatch):
+    import kforcing.bounds as bounds_module
+
+    calls = []
+    real = bounds_module.is_k_connected
+
+    def counting(g, k):
+        calls.append(k)
+        return real(g, k)
+
+    monkeypatch.setattr(bounds_module, "is_k_connected", counting)
+    pet = gen("petersen")
+    report = all_bounds(pet, 3)
+    assert calls == [3]
+    assert report.k_connected_checked == {3: True}
+    assert {bv.name: bv for bv in report.bounds}["acdp5"] == bound_acdp_thm5(pet, 3)
+    assert calls == [3, 3]  # the standalone bound still tests it itself
+    assert not {bv.name: bv for bv in all_bounds(gen("path", 5), 2).bounds}["acdp5"].applicable
+
+
 def test_all_bounds_small_cases():
     report = all_bounds(gen("cycle", 7), 2)
     by_name = {bv.name: bv for bv in report.bounds}

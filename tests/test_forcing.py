@@ -15,7 +15,7 @@ from kforcing.generators import FamilySpec, generate
 from kforcing.graph import build_graph
 
 from conftest import graphs, ks
-from oracles import async_closure, naive_closure, validate_trace
+from oracles import async_closure, naive_closure, naive_trace, validate_trace
 
 
 def test_p3_chain_propagation():
@@ -106,6 +106,31 @@ def graph_set_k(draw, max_n=10):
 def test_closure_matches_naive_oracle(case):
     g, s, k = case
     assert closure(g, s, k).final.colored == frozenset(naive_closure(g, s, k))
+
+
+@given(graph_set_k())
+def test_closure_trace_matches_naive_trace(case):
+    # validate_trace checks each round's forcer set; this pins event order,
+    # forced order and round numbers too.
+    g, s, k = case
+    trace = closure(g, s, k)
+    events, rounds, final = naive_trace(g, s, k)
+    assert [(ev.round, ev.forcer, ev.forced) for ev in trace.events] == events
+    assert trace.rounds == rounds
+    assert trace.final.colored == frozenset(final)
+    assert is_k_forcing_set(g, s, k) == (len(final) == g.n)
+
+
+def test_closure_is_linear_on_a_long_path():
+    # One vertex fires per round, so an engine that rescans every colored
+    # vertex each round does ~5e7 checks here and makes the suite crawl.
+    g = generate(FamilySpec("path", (10000,)))
+    trace = closure(g, {0}, 1)
+    assert trace.rounds == 9999
+    assert len(trace.events) == 9999
+    assert trace.final.colored == frozenset(range(10000))
+    assert is_k_forcing_set(g, {0}, 1)
+    assert not is_k_forcing_set(g, {5000}, 1)
 
 
 @given(graph_set_k())

@@ -1,15 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kforcing
 from kforcing.bounds import thm2iii_value
-from kforcing.errors import NotConnectedError
+from kforcing.errors import KForcingError, NotConnectedError
 from kforcing.forcing import closure, is_k_forcing_set
 from kforcing.generators import FamilySpec, generate
 from kforcing.graph import build_graph, degrees
 from kforcing.greedy import (
     PROP1,
+    STRATEGIES,
     THM_I,
     THM_II,
     THM_III,
@@ -18,6 +25,7 @@ from kforcing.greedy import (
 )
 
 from conftest import connected_graphs, ks
+from oracles import naive_greedy
 
 
 def test_k4_at_k3_is_prop1():
@@ -183,3 +191,65 @@ def test_per_component_connected_matches_direct():
     direct = greedy_k_forcing_set(g, 1)
     per = greedy_per_component(g, 1)
     assert per == [direct]
+
+
+def test_per_component_connected_skips_subgraph_rebuild(monkeypatch):
+    def no_rebuild(n, edges):
+        raise AssertionError("connected input was rebuilt as a subgraph")
+
+    monkeypatch.setattr("kforcing.greedy.build_graph", no_rebuild)
+    g = generate(FamilySpec("petersen"))
+    assert greedy_per_component(g, 1) == [greedy_k_forcing_set(g, 1)]
+
+
+def _assert_matches_naive(g, k, strategy):
+    res = greedy_k_forcing_set(g, k, strategy)
+    team, case, seed, augmentations = naive_greedy(g, k, strategy)
+    assert res.forcing_set == frozenset(team)
+    assert res.case_taken == case
+    assert res.seed_vertex == seed
+    assert [(a.u, a.colored_neighbors, a.a_u) for a in res.augmentations] == augmentations
+
+
+@given(connected_graphs(max_n=10), ks, st.sampled_from(STRATEGIES))
+@settings(max_examples=150)
+def test_matches_naive_greedy(g, k, strategy):
+    _assert_matches_naive(g, k, strategy)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_matches_naive_greedy_on_sparse_gnp(seed, k, strategy):
+    g = generate(FamilySpec("gnp_connected", (200, 0.05), seed))
+    _assert_matches_naive(g, k, strategy)
+
+
+def test_unknown_strategy_rejected():
+    with pytest.raises(KForcingError, match="unknown strategy"):
+        greedy_k_forcing_set(generate(FamilySpec("petersen")), 1, "fewest_colors")
+
+
+def test_case_bound_violation_raises_typed_error(monkeypatch):
+    monkeypatch.setattr("kforcing.greedy.thm2iii_value", lambda g, k: 0)
+    with pytest.raises(KForcingError, match="thm2iii"):
+        greedy_k_forcing_set(generate(FamilySpec("complete", (5,))), 1)
+
+
+def test_case_bound_check_survives_python_O():
+    code = (
+        "import kforcing.greedy as greedy\n"
+        "from kforcing import FamilySpec, KForcingError, generate\n"
+        "assert False, 'asserts are live'\n"
+        "greedy.thm2iii_value = lambda g, k: 0\n"
+        "try:\n"
+        "    greedy.greedy_k_forcing_set(generate(FamilySpec('complete', (5,))), 1)\n"
+        "except KForcingError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(kforcing.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised |T|=4 exceeds floor(thm2iii)=0"), out.stdout
