@@ -1,30 +1,28 @@
-"""Closed-form bound evaluators with applicability checks.
+"""The bound table: one row per closed-form bound, with its hypotheses.
+
+`BOUNDS` is the single list of bounds on the k-forcing number F_k of a graph
+with n vertices, minimum degree delta and maximum degree Delta.  Its order is
+the order of `all_bounds`, of the JSON report and of the verify CSV columns;
+`all_bounds`, the `bound_*` accessors and the reports all read it, so adding a
+bound takes one row.  The rows are Theorem 2(i)-(iii) and Corollaries 1-3 of
+the source paper, and Theorems 4 and 5 of Amos, Caro, Davila & Pepper (2015).
 
 Every value is an exact `fractions.Fraction`; floors are taken on rationals,
 never on floats, so dominance comparisons between bounds are exact.
-
-Bound inventory (k-forcing number F_k of a graph with n vertices, minimum
-degree delta, maximum degree Delta):
-
-  prop1_thm2  F_k = 1 if Delta <= k or delta < Delta = k+1; F_k = 2 if
-              delta = Delta = k+1 (connected graphs)
-  thm2iii     ((Delta-k-1)n + max{delta(k+1-Delta)+k, k(delta-Delta+2)}) / (Delta-1)
-              for connected graphs with Delta >= k+2
-  cor1        ((Delta-2)n - (Delta-delta) + 2) / (Delta-1), k=1, Delta >= 3
-  cor2        ((Delta-k-1)n + 2k) / (Delta-1), Delta >= k+2
-  cor3        ((Delta-2)n + 2) / (Delta-1), k=1, Delta >= 2
-  acdp4       (Delta-k+1)n / (Delta-k+1+min{delta,k}), n >= 2, Delta >= k, delta >= 1
-  acdp5       ((Delta-2)n + 2) / (Delta+k-2) for k-connected graphs, Delta >= 2
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HypothesisFailedError, NotConnectedError, TooFewVerticesError
+from .errors import HypothesisFailedError, InvalidParametersError, NotConnectedError
 from .graph import Graph, degrees, is_connected, is_k_connected
+
+NOT_CONNECTED = "graph not connected"
 
 
 @dataclass(frozen=True)
@@ -52,163 +50,185 @@ class BoundsReport:
     greedy_size: int | None = None
 
 
-def _ok(name: str, hyp: str, value: Fraction, equality_candidate=None) -> BoundValue:
+class GraphFacts:
+    """Everything a bound reads off one (graph, k), each computed at most once.
+
+    The connectivity tests run on first use, so an accessor whose bound never
+    reaches them does not pay for them.
+    """
+
+    def __init__(self, g: Graph, k: int):
+        if k < 1:
+            raise InvalidParametersError(f"k must be a positive integer, got k={k}")
+        s = degrees(g)
+        self.graph, self.k, self.n, self.m = g, k, g.n, g.m
+        self.delta_min, self.delta_max = s.delta_min, s.delta_max
+
+    @functools.cached_property
+    def connected(self) -> bool:
+        return is_connected(self.graph)
+
+    @functools.cached_property
+    def k_connected(self) -> bool | None:
+        """is_k_connected(graph, k), or None when n <= k, where it is undefined."""
+        return is_k_connected(self.graph, self.k) if self.n > self.k else None
+
+
+Check = Callable[[GraphFacts], str | bool]
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One table row: `checks` test the hypotheses in order, `value` is the bound.
+
+    Each check returns a failure message, or a false value when it passes.  An
+    `exact` row gives F_k itself on its cases rather than an upper bound: it is
+    not a report column, and its accessor returns it inapplicable, not raising.
+    """
+
+    name: str
+    hypotheses: str
+    checks: tuple[Check, ...]
+    value: Callable[[GraphFacts], Fraction]
+    equality_candidate: Callable[[GraphFacts], bool] | None = None
+    exact: bool = False
+
+    def reason(self, f: GraphFacts) -> str | None:
+        """The first failed check's message, or None when every hypothesis holds."""
+        return next((why for why in (check(f) for check in self.checks) if why), None)
+
+
+def _connected(f: GraphFacts) -> str | bool:
+    return not f.connected and NOT_CONNECTED
+
+
+def _k_is_1(f: GraphFacts) -> str | bool:
+    return f.k != 1 and f"k={f.k} != 1"
+
+
+def _delta_ge_k2(f: GraphFacts) -> str | bool:
+    return f.delta_max < f.k + 2 and f"Delta={f.delta_max} < k+2={f.k + 2}"
+
+
+def _delta_ge(low: int) -> Check:
+    return lambda f: f.delta_max < low and f"Delta={f.delta_max} < {low}"
+
+
+def _thm2iii(f: GraphFacts) -> Fraction:
+    d, big, k = f.delta_min, f.delta_max, f.k
+    return Fraction((big - k - 1) * f.n + max(d * (k + 1 - big) + k, k * (d - big + 2)), big - 1)
+
+
+BOUNDS: tuple[Bound, ...] = (
+    # Proposition 1 and Theorem 2(i)-(ii): F_k itself, 1 or 2, when Delta <= k+1.
+    Bound(
+        "prop1_thm2",
+        "connected; Delta <= k+1",
+        (
+            _connected,
+            lambda f: f.delta_max >= f.k + 2 and f"Delta={f.delta_max} >= k+2={f.k + 2}",
+        ),
+        lambda f: Fraction(2 if f.delta_min == f.delta_max == f.k + 1 else 1),
+        exact=True,
+    ),
+    # Theorem 2(iii).
+    Bound("thm2iii", "connected; Delta >= k+2", (_connected, _delta_ge_k2), _thm2iii),
+    # Corollary 1.
+    Bound(
+        "cor1",
+        "connected; Delta >= 3; k=1",
+        (_k_is_1, _connected, _delta_ge(3)),
+        lambda f: Fraction(
+            (f.delta_max - 2) * f.n - (f.delta_max - f.delta_min) + 2, f.delta_max - 1
+        ),
+    ),
+    # Corollary 2; equality is expected on graphs regular of degree k+2.
+    Bound(
+        "cor2",
+        "connected; Delta >= k+2",
+        (_connected, _delta_ge_k2),
+        lambda f: Fraction((f.delta_max - f.k - 1) * f.n + 2 * f.k, f.delta_max - 1),
+        equality_candidate=lambda f: f.delta_min == f.delta_max == f.k + 2,
+    ),
+    # Corollary 3.
+    Bound(
+        "cor3",
+        "connected; Delta >= 2; k=1",
+        (_k_is_1, _connected, _delta_ge(2)),
+        lambda f: Fraction((f.delta_max - 2) * f.n + 2, f.delta_max - 1),
+    ),
+    # Amos, Caro, Davila & Pepper, Theorem 4.
+    Bound(
+        "acdp4",
+        "n >= 2; Delta >= k; delta >= 1",
+        (
+            lambda f: f.n < 2 and f"n={f.n} < 2",
+            lambda f: f.delta_max < f.k and f"Delta={f.delta_max} < k={f.k}",
+            lambda f: f.delta_min < 1 and "isolated vertex present",
+        ),
+        lambda f: Fraction(
+            (f.delta_max - f.k + 1) * f.n, f.delta_max - f.k + 1 + min(f.delta_min, f.k)
+        ),
+    ),
+    # Amos, Caro, Davila & Pepper, Theorem 5.
+    Bound(
+        "acdp5",
+        "k-connected; n > k; Delta >= 2",
+        (
+            lambda f: f.n <= f.k and f"n={f.n} <= k={f.k}",
+            _delta_ge(2),
+            lambda f: not f.k_connected and f"not {f.k}-connected",
+        ),
+        lambda f: Fraction((f.delta_max - 2) * f.n + 2, f.delta_max + f.k - 2),
+    ),
+)
+
+_BY_NAME = {b.name: b for b in BOUNDS}
+
+
+def _evaluate(b: Bound, f: GraphFacts) -> BoundValue:
+    reason = b.reason(f)
+    if reason is not None:
+        return BoundValue(b.name, False, b.hypotheses, reason=reason)
+    value = b.value(f)
+    equality = b.equality_candidate(f) if b.equality_candidate else None
     return BoundValue(
-        name=name,
-        applicable=True,
-        hypotheses=hyp,
-        value=value,
-        floor=math.floor(value),
-        equality_candidate=equality_candidate,
+        b.name, True, b.hypotheses, value, math.floor(value), equality_candidate=equality
     )
 
 
-def _na(name: str, hyp: str, reason: str) -> BoundValue:
-    return BoundValue(name=name, applicable=False, hypotheses=hyp, reason=reason)
+def bound_value(name: str, g: Graph, k: int) -> BoundValue:
+    """One table row on (g, k), raising where `all_bounds` records it inapplicable.
+
+    NotConnectedError on a disconnected graph, else HypothesisFailedError;
+    an `exact` row outside its cases is returned inapplicable instead.
+    """
+    if name not in _BY_NAME:
+        raise InvalidParametersError(f"unknown bound {name!r}")
+    b = _BY_NAME[name]
+    bv = _evaluate(b, GraphFacts(g, k))
+    if bv.applicable:
+        return bv
+    if bv.reason == NOT_CONNECTED:
+        raise NotConnectedError(f"{name}: {bv.reason}")
+    if b.exact:
+        return bv
+    raise HypothesisFailedError(f"{name}: {bv.reason}")
 
 
 def thm2iii_value(g: Graph, k: int) -> Fraction:
     """The main-case bound as a raw rational; assumes Delta >= k+2."""
-    s = degrees(g)
-    d, big = s.delta_min, s.delta_max
-    num = (big - k - 1) * g.n + max(d * (k + 1 - big) + k, k * (d - big + 2))
-    return Fraction(num, big - 1)
+    return _thm2iii(GraphFacts(g, k))
 
 
-def _eval_prop1_thm2(g: Graph, k: int) -> BoundValue:
-    hyp = "connected; Delta <= k+1"
-    name = "prop1_thm2"
-    if not is_connected(g):
-        return _na(name, hyp, "graph not connected")
-    s = degrees(g)
-    if s.delta_max <= k:
-        return _ok(name, hyp, Fraction(1))
-    if s.delta_max == k + 1:
-        if s.delta_min < s.delta_max:
-            return _ok(name, hyp, Fraction(1))
-        return _ok(name, hyp, Fraction(2))
-    return _na(name, hyp, f"Delta={s.delta_max} >= k+2={k + 2}")
-
-
-def _eval_thm2iii(g: Graph, k: int) -> BoundValue:
-    hyp = "connected; Delta >= k+2"
-    name = "thm2iii"
-    if not is_connected(g):
-        return _na(name, hyp, "graph not connected")
-    s = degrees(g)
-    if s.delta_max < k + 2:
-        return _na(name, hyp, f"Delta={s.delta_max} < k+2={k + 2}")
-    return _ok(name, hyp, thm2iii_value(g, k))
-
-
-def _eval_cor1(g: Graph) -> BoundValue:
-    hyp = "connected; Delta >= 3; k=1"
-    name = "cor1"
-    if not is_connected(g):
-        return _na(name, hyp, "graph not connected")
-    s = degrees(g)
-    if s.delta_max < 3:
-        return _na(name, hyp, f"Delta={s.delta_max} < 3")
-    num = (s.delta_max - 2) * g.n - (s.delta_max - s.delta_min) + 2
-    return _ok(name, hyp, Fraction(num, s.delta_max - 1))
-
-
-def _eval_cor2(g: Graph, k: int) -> BoundValue:
-    hyp = "connected; Delta >= k+2"
-    name = "cor2"
-    if not is_connected(g):
-        return _na(name, hyp, "graph not connected")
-    s = degrees(g)
-    if s.delta_max < k + 2:
-        return _na(name, hyp, f"Delta={s.delta_max} < k+2={k + 2}")
-    value = Fraction((s.delta_max - k - 1) * g.n + 2 * k, s.delta_max - 1)
-    regular_k2 = s.delta_min == s.delta_max == k + 2
-    return _ok(name, hyp, value, equality_candidate=regular_k2)
-
-
-def _eval_cor3(g: Graph) -> BoundValue:
-    hyp = "connected; Delta >= 2; k=1"
-    name = "cor3"
-    if not is_connected(g):
-        return _na(name, hyp, "graph not connected")
-    s = degrees(g)
-    if s.delta_max < 2:
-        return _na(name, hyp, f"Delta={s.delta_max} < 2")
-    return _ok(name, hyp, Fraction((s.delta_max - 2) * g.n + 2, s.delta_max - 1))
-
-
-def _eval_acdp4(g: Graph, k: int) -> BoundValue:
-    hyp = "n >= 2; Delta >= k; delta >= 1"
-    name = "acdp4"
-    if g.n < 2:
-        return _na(name, hyp, f"n={g.n} < 2")
-    s = degrees(g)
-    if s.delta_max < k:
-        return _na(name, hyp, f"Delta={s.delta_max} < k={k}")
-    if s.delta_min < 1:
-        return _na(name, hyp, "isolated vertex present")
-    num = (s.delta_max - k + 1) * g.n
-    den = s.delta_max - k + 1 + min(s.delta_min, k)
-    return _ok(name, hyp, Fraction(num, den))
-
-
-def _eval_acdp5(g: Graph, k: int, k_connected: bool | None = None) -> BoundValue:
-    """`k_connected`, when given, is is_k_connected(g, k) already computed."""
-    hyp = "k-connected; n > k; Delta >= 2"
-    name = "acdp5"
-    if g.n <= k:
-        return _na(name, hyp, f"n={g.n} <= k={k}")
-    s = degrees(g)
-    if s.delta_max < 2:
-        return _na(name, hyp, f"Delta={s.delta_max} < 2")
-    if k_connected is None:
-        k_connected = is_k_connected(g, k)
-    if not k_connected:
-        return _na(name, hyp, f"not {k}-connected")
-    return _ok(name, hyp, Fraction((s.delta_max - 2) * g.n + 2, s.delta_max + k - 2))
-
-
-def _raise_if_inapplicable(bv: BoundValue) -> BoundValue:
-    if bv.applicable:
-        return bv
-    if bv.reason == "graph not connected":
-        raise NotConnectedError(f"{bv.name}: {bv.reason}")
-    raise HypothesisFailedError(f"{bv.name}: {bv.reason}")
-
-
-def bound_prop1_thm2_cases(g: Graph, k: int) -> BoundValue:
-    """Exact small-case values; inapplicable (not an error) when Delta >= k+2."""
-    bv = _eval_prop1_thm2(g, k)
-    if not bv.applicable and bv.reason == "graph not connected":
-        raise NotConnectedError(bv.reason)
-    return bv
-
-
-def bound_thm2_iii(g: Graph, k: int) -> BoundValue:
-    return _raise_if_inapplicable(_eval_thm2iii(g, k))
-
-
-def bound_cor1(g: Graph) -> BoundValue:
-    return _raise_if_inapplicable(_eval_cor1(g))
-
-
-def bound_cor2(g: Graph, k: int) -> BoundValue:
-    return _raise_if_inapplicable(_eval_cor2(g, k))
-
-
-def bound_cor3(g: Graph) -> BoundValue:
-    return _raise_if_inapplicable(_eval_cor3(g))
-
-
-def bound_acdp_thm4(g: Graph, k: int) -> BoundValue:
-    return _raise_if_inapplicable(_eval_acdp4(g, k))
-
-
-def bound_acdp_thm5(g: Graph, k: int) -> BoundValue:
-    try:
-        return _raise_if_inapplicable(_eval_acdp5(g, k))
-    except TooFewVerticesError as exc:
-        raise HypothesisFailedError(str(exc)) from exc
+# The named accessors, one per row; cor1 and cor3 are stated for k = 1 only.
+bound_prop1_thm2_cases = functools.partial(bound_value, "prop1_thm2")
+bound_thm2_iii = functools.partial(bound_value, "thm2iii")
+bound_cor1 = functools.partial(bound_value, "cor1", k=1)
+bound_cor2 = functools.partial(bound_value, "cor2")
+bound_cor3 = functools.partial(bound_value, "cor3", k=1)
+bound_acdp_thm4 = functools.partial(bound_value, "acdp4")
+bound_acdp_thm5 = functools.partial(bound_value, "acdp5")
 
 
 def all_bounds(
@@ -218,29 +238,16 @@ def all_bounds(
     greedy_size: int | None = None,
 ) -> BoundsReport:
     """Evaluate every bound, recording inapplicability inline instead of raising."""
-    s = degrees(g)
-    connected = is_connected(g)
-    k_checked: dict[int, bool] = {}
-    if g.n > k:
-        k_checked[k] = is_k_connected(g, k)
-    bvs = (
-        _eval_prop1_thm2(g, k),
-        _eval_thm2iii(g, k),
-        _eval_cor1(g) if k == 1 else _na("cor1", "connected; Delta >= 3; k=1", f"k={k} != 1"),
-        _eval_cor2(g, k),
-        _eval_cor3(g) if k == 1 else _na("cor3", "connected; Delta >= 2; k=1", f"k={k} != 1"),
-        _eval_acdp4(g, k),
-        _eval_acdp5(g, k, k_checked.get(k)),
-    )
+    f = GraphFacts(g, k)
     return BoundsReport(
-        n=g.n,
-        m=g.m,
-        delta_min=s.delta_min,
-        delta_max=s.delta_max,
-        connected=connected,
-        k_connected_checked=k_checked,
+        n=f.n,
+        m=f.m,
+        delta_min=f.delta_min,
+        delta_max=f.delta_max,
+        connected=f.connected,
+        k_connected_checked={} if f.k_connected is None else {k: f.k_connected},
         k=k,
-        bounds=bvs,
+        bounds=tuple(_evaluate(b, f) for b in BOUNDS),
         exact_f_k=exact_f_k,
         greedy_size=greedy_size,
     )

@@ -13,7 +13,7 @@ import math
 import sys
 import time
 
-from .bounds import all_bounds, report_to_dict
+from .bounds import all_bounds, report_to_dict, thm2iii_value
 from .corpus import default_corpus, load_corpus, circulant_corpus
 from .errors import BudgetExceededError, KForcingError
 from .exact import exact_f_k, worker_count
@@ -126,8 +126,6 @@ def cmd_greedy(args) -> int:
         for a in r.augmentations:
             print(f"augment: u={a.u} colored {list(a.colored_neighbors)} (a_u={a.a_u})")
         if r.case_taken == THM_III:
-            from .bounds import thm2iii_value
-
             sub_n = len(r.trace.final.colored)
             if len(results) == 1:
                 bound = thm2iii_value(g, args.k)

@@ -22,19 +22,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import all_bounds
+from .bounds import BOUNDS, all_bounds
 from .corpus import CorpusSpec
 from .errors import BudgetExceededError
 from .exact import exact_f_k, worker_count
 from .generators import generate
-from .graph import Graph, degrees
+from .graph import Graph
 from .greedy import PROP1, THM_I, THM_II, THM_III, greedy_per_component
 
-BOUND_COLUMNS = ("thm2iii", "cor1", "cor2", "cor3", "acdp4", "acdp5")
+BOUND_COLUMNS = tuple(b.name for b in BOUNDS if not b.exact)
 
-CSV_HEADER = (
-    "graph_id,family,n,m,delta,Delta,k,exact,greedy,case,"
-    "thm2iii,cor1,cor2,cor3,acdp4,acdp5,flags"
+CSV_HEADER = ",".join(
+    ("graph_id", "family", "n", "m", "delta", "Delta", "k", "exact", "greedy", "case")
+    + BOUND_COLUMNS
+    + ("flags",)
 )
 
 
@@ -67,7 +68,6 @@ class VerifyReport:
 
 def run_one(graph_id: str, family: str, g: Graph, k: int, budget: int) -> RunRow:
     """Full pipeline for one (graph, k): exact, greedy, bounds, invariant flags."""
-    summary = degrees(g)
     exact: int | None
     exact_lower: int | None = None
     try:
@@ -81,11 +81,7 @@ def run_one(graph_id: str, family: str, g: Graph, k: int, budget: int) -> RunRow
     case = "+".join(r.case_taken for r in greedy_results)
 
     report = all_bounds(g, k)
-    values: dict[str, Fraction | None] = {
-        bv.name: bv.value if bv.applicable else None
-        for bv in report.bounds
-        if bv.name in BOUND_COLUMNS
-    }
+    values = {bv.name: bv.value for bv in report.bounds if bv.name in BOUND_COLUMNS}
     cases_bv = next(bv for bv in report.bounds if bv.name == "prop1_thm2")
 
     flags: list[str] = []
@@ -127,14 +123,14 @@ def run_one(graph_id: str, family: str, g: Graph, k: int, budget: int) -> RunRow
     cor1 = values.get("cor1")
     if k == 1 and thm2iii is not None and cor1 is not None:
         obs["cor1_agrees_thm2iii"] = cor1 == thm2iii
-        first = summary.delta_min * (k + 1 - summary.delta_max) + k
-        second = k * (summary.delta_min - summary.delta_max + 2)
+        first = report.delta_min * (k + 1 - report.delta_max) + k
+        second = k * (report.delta_min - report.delta_max + 2)
         obs["thm2iii_max_branch"] = (
             "tie" if first == second else ("first" if first > second else "second")
         )
 
     equalities = []
-    regular = summary.delta_min == summary.delta_max
+    regular = report.delta_min == report.delta_max
     for name in BOUND_COLUMNS:
         val = values.get(name)
         if val is None:
@@ -149,8 +145,8 @@ def run_one(graph_id: str, family: str, g: Graph, k: int, budget: int) -> RunRow
                         "side": side,
                         "value": _fmt_fraction(val),
                         "regular": regular,
-                        "degree": summary.delta_max if regular else None,
-                        "degree_is_k_plus_2": regular and summary.delta_max == k + 2,
+                        "degree": report.delta_max if regular else None,
+                        "degree_is_k_plus_2": regular and report.delta_max == k + 2,
                     }
                 )
     obs["equalities"] = equalities
@@ -159,10 +155,10 @@ def run_one(graph_id: str, family: str, g: Graph, k: int, budget: int) -> RunRow
     return RunRow(
         graph_id=graph_id,
         family=family,
-        n=g.n,
-        m=g.m,
-        delta=summary.delta_min,
-        Delta=summary.delta_max,
+        n=report.n,
+        m=report.m,
+        delta=report.delta_min,
+        Delta=report.delta_max,
         k=k,
         exact=exact,
         exact_lower=exact_lower,
@@ -264,12 +260,7 @@ def report_csv(report: VerifyReport) -> str:
                 _fmt_exact(row),
                 row.greedy_size,
                 row.case,
-                _fmt_fraction(row.values.get("thm2iii")),
-                _fmt_fraction(row.values.get("cor1")),
-                _fmt_fraction(row.values.get("cor2")),
-                _fmt_fraction(row.values.get("cor3")),
-                _fmt_fraction(row.values.get("acdp4")),
-                _fmt_fraction(row.values.get("acdp5")),
+                *(_fmt_fraction(row.values.get(name)) for name in BOUND_COLUMNS),
                 ";".join(row.flags),
             ]
         )

@@ -9,6 +9,7 @@ corpus rows where the narrower regular-only claims fail, so drift in
 either set fails a test. README.md discusses both.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -23,7 +24,7 @@ from kforcing.forcing import closure, closure_mask
 from kforcing.generators import FamilySpec, generate
 from kforcing.graph import build_graph
 from kforcing.rng import SplitMix64
-from kforcing.verify import run_corpus
+from kforcing.verify import report_csv, report_json, run_corpus
 
 from oracles import async_closure
 
@@ -38,6 +39,30 @@ def default_run():
 @pytest.fixture(scope="session")
 def circulant_report():
     return run_corpus(circulant_corpus())
+
+
+# sha256 of (report_csv, report_json) for the two built-in corpora.  The
+# reports are deterministic, so any change here is a change in some answer
+# or in the report format.
+REPORT_SHA256 = {
+    "default": (
+        "a43a0c9d407e967bf38f1a8f7b811691067fa1b564bce0c13c55f10f72dc8c3d",
+        "33ae3099c64ff4bed041e584dd11b026c33a7243faaf9fd9fe7cc82bbcf69c8d",
+    ),
+    "circulant": (
+        "2e9c195e11b1497619cafd0d73388219bd7da4ad63eb1e1d3b5726a5c2a8fe03",
+        "75592a93bb0d0dd01fe0216a2235d452ed09d7da1f6b77b3d82042be7244a80b",
+    ),
+}
+
+
+def test_report_bytes_pinned(default_run, circulant_report):
+    for name, report in (("default", default_run[0]), ("circulant", circulant_report)):
+        digests = tuple(
+            hashlib.sha256(render(report).encode()).hexdigest()
+            for render in (report_csv, report_json)
+        )
+        assert digests == REPORT_SHA256[name], name
 
 
 def test_criterion_1_single_vertex_suffices_when_Delta_le_k(default_run):

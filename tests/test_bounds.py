@@ -1,10 +1,14 @@
+import functools
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from kforcing.bounds import (
+    BOUNDS,
+    NOT_CONNECTED,
     all_bounds,
     bound_acdp_thm4,
     bound_acdp_thm5,
@@ -13,10 +17,11 @@ from kforcing.bounds import (
     bound_cor3,
     bound_prop1_thm2_cases,
     bound_thm2_iii,
+    bound_value,
     report_to_dict,
     thm2iii_value,
 )
-from kforcing.errors import HypothesisFailedError, NotConnectedError
+from kforcing.errors import HypothesisFailedError, InvalidParametersError, NotConnectedError
 from kforcing.exact import exact_f_k
 from kforcing.generators import FamilySpec, generate
 from kforcing.graph import build_graph, degrees
@@ -102,8 +107,8 @@ def test_acdp4_values():
     assert bound_acdp_thm4(gen("cycle", 6), 1).value == Fraction(4)
     with pytest.raises(HypothesisFailedError):
         bound_acdp_thm4(build_graph(1, []), 1)
-    with pytest.raises(HypothesisFailedError):
-        bound_acdp_thm4(build_graph(3, [(0, 1)]), 1)  # isolated vertex
+    with pytest.raises(HypothesisFailedError, match="acdp4: isolated vertex present"):
+        bound_acdp_thm4(build_graph(3, [(0, 1)]), 1)
 
 
 def test_acdp5_values():
@@ -158,6 +163,86 @@ def test_all_bounds_tests_k_connectivity_once(monkeypatch):
     assert not {bv.name: bv for bv in all_bounds(gen("path", 5), 2).bounds}["acdp5"].applicable
 
 
+def test_all_bounds_scans_the_graph_once(monkeypatch):
+    import kforcing.bounds as bounds_module
+    import kforcing.graph as graph_module
+
+    calls = {"degrees": 0, "connected_components": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(bounds_module, "degrees")
+    counted(graph_module, "connected_components")
+    rr = gen("random_regular", 60, 4)
+    for g, k in ((rr, 1), (rr, 2), (gen("petersen"), 3), (build_graph(4, [(0, 1), (2, 3)]), 1)):
+        calls.update(degrees=0, connected_components=0)
+        all_bounds(g, k)
+        assert calls["degrees"] == 1, k
+        # once for `connected`, once inside is_k_connected
+        assert calls["connected_components"] <= 2, k
+
+
+@pytest.mark.parametrize("k", [0, -3])
+@pytest.mark.parametrize(
+    "accessor",
+    [
+        bound_prop1_thm2_cases,
+        bound_thm2_iii,
+        functools.partial(bound_value, "cor1"),
+        bound_cor2,
+        functools.partial(bound_value, "cor3"),
+        bound_acdp_thm4,
+        bound_acdp_thm5,
+        all_bounds,
+        thm2iii_value,
+    ],
+    ids=["prop1_thm2", "thm2iii", "cor1", "cor2", "cor3", "acdp4", "acdp5", "all", "value"],
+)
+def test_k_below_1_rejected(accessor, k):
+    with pytest.raises(InvalidParametersError, match=f"k={k}"):
+        accessor(gen("petersen"), k)
+
+
+NAMED_ACCESSORS = {
+    "prop1_thm2": bound_prop1_thm2_cases,
+    "thm2iii": bound_thm2_iii,
+    "cor1": lambda g, k: bound_cor1(g),  # stated for k = 1 only
+    "cor2": bound_cor2,
+    "cor3": lambda g, k: bound_cor3(g),
+    "acdp4": bound_acdp_thm4,
+    "acdp5": bound_acdp_thm5,
+}
+
+
+@given(connected_graphs(min_n=1, max_n=9), ks)
+@example(build_graph(4, [(0, 1), (2, 3)]), 1)  # disconnected
+@example(build_graph(4, [(0, 1), (2, 3)]), 2)
+@example(gen("path", 3), 3)  # n <= k
+@example(build_graph(1, []), 1)
+@settings(max_examples=80, deadline=None)
+def test_accessors_agree_with_all_bounds(g, k):
+    assert list(NAMED_ACCESSORS) == [b.name for b in BOUNDS]
+    report = all_bounds(g, k)
+    for b, bv in zip(BOUNDS, report.bounds, strict=True):
+        accessors = [functools.partial(bound_value, b.name)]
+        if b.name not in ("cor1", "cor3") or k == 1:
+            accessors.append(NAMED_ACCESSORS[b.name])
+        for accessor in accessors:
+            if bv.applicable or (b.exact and bv.reason != NOT_CONNECTED):
+                assert accessor(g, k) == bv, b.name
+            else:
+                error = NotConnectedError if bv.reason == NOT_CONNECTED else HypothesisFailedError
+                with pytest.raises(error, match=re.escape(f"{b.name}: {bv.reason}")):
+                    accessor(g, k)
+
+
 def test_all_bounds_small_cases():
     report = all_bounds(gen("cycle", 7), 2)
     by_name = {bv.name: bv for bv in report.bounds}
@@ -178,6 +263,9 @@ def test_all_bounds_records_disconnection():
     assert by_name["cor3"].reason == "graph not connected"
     # acdp4 does not require connectivity
     assert by_name["acdp4"].applicable
+    # the k = 1 restriction is reported before connectivity
+    by_name = {bv.name: bv for bv in all_bounds(g, 2).bounds}
+    assert by_name["cor1"].reason == by_name["cor3"].reason == "k=2 != 1"
 
 
 def test_all_bounds_k_filtering():

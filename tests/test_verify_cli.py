@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,10 @@ def test_csv_shape(small_report):
     text = report_csv(small_report)
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
+    assert CSV_HEADER == (
+        "graph_id,family,n,m,delta,Delta,k,exact,greedy,case,"
+        "thm2iii,cor1,cor2,cor3,acdp4,acdp5,flags"
+    )
     assert len(lines) == 1 + len(small_report.rows)
     pet = lines[1].split(",")
     assert pet[:10] == [
@@ -264,6 +269,26 @@ def test_cli_bounds_equality_candidate(tmp_path, capsys):
     p.write_text(serialize_edge_list(g))
     assert main(["bounds", str(p), "--k", "2"]) == 0
     assert "equality candidate" in capsys.readouterr().out
+
+
+BOUNDS_GOLDEN_GRAPHS = {
+    "petersen": serialize_edge_list(generate(FamilySpec("petersen", ()))),
+    "path_5": serialize_edge_list(generate(FamilySpec("path", (5,)))),
+    "two_edges": "4 2\n0 1\n2 3\n",
+}
+
+
+@pytest.mark.parametrize(
+    ("graph", "k"),
+    [("petersen", 1), ("petersen", 2), ("petersen", 3), ("path_5", 2), ("two_edges", 1)],
+)
+def test_cli_bounds_json_golden(tmp_path, capsys, graph, k):
+    # byte-for-byte: bound order, reasons, values and the k-connectivity record
+    p = tmp_path / "g.txt"
+    p.write_text(BOUNDS_GOLDEN_GRAPHS[graph])
+    assert main(["bounds", str(p), "--k", str(k), "--json"]) == 0
+    golden = Path(__file__).parent / "golden" / f"bounds_{graph}_k{k}.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_cli_gen_roundtrip(tmp_path, capsys):
