@@ -3,7 +3,7 @@
 A colored vertex with at most k uncolored neighbors colors all of them; a
 k-forcing set is an initial coloring that eventually colors every vertex.
 The package provides the process simulator, a greedy set construction with
-provable size guarantees, an exhaustive minimum-set solver, exact-rational
+provable size guarantees, an exact minimum-set solver, exact-rational
 bound evaluators, and a corpus verification harness.
 """
 

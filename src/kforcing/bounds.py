@@ -114,9 +114,20 @@ def _delta_ge(low: int) -> Check:
     return lambda f: f.delta_max < low and f"Delta={f.delta_max} < {low}"
 
 
+def thm2iii_max_terms(delta: int, big_delta: int, k: int) -> tuple[int, int]:
+    """The two terms of Theorem 2(iii)'s max: delta(k+1-Delta)+k and k(delta-Delta+2)."""
+    return delta * (k + 1 - big_delta) + k, k * (delta - big_delta + 2)
+
+
+def thm2iii_formula(n: int, delta: int, big_delta: int, k: int) -> Fraction:
+    """Theorem 2(iii)'s bound from n and the degree extremes; assumes Delta >= k+2."""
+    return Fraction(
+        (big_delta - k - 1) * n + max(thm2iii_max_terms(delta, big_delta, k)), big_delta - 1
+    )
+
+
 def _thm2iii(f: GraphFacts) -> Fraction:
-    d, big, k = f.delta_min, f.delta_max, f.k
-    return Fraction((big - k - 1) * f.n + max(d * (k + 1 - big) + k, k * (d - big + 2)), big - 1)
+    return thm2iii_formula(f.n, f.delta_min, f.delta_max, f.k)
 
 
 BOUNDS: tuple[Bound, ...] = (

@@ -269,7 +269,7 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     """Time the exact solver on seeded graphs of growing order."""
     print(f"exact solver bench, k={args.k} (seeded G(n, 0.4) graphs)")
-    print("n f_k subsets seconds")
+    print("n f_k subsets states seconds")
     for n in range(6, args.max_n + 1, 2):
         spec = FamilySpec(family="gnp_connected", parameters=(n, 0.4), seed=42)
         g = generate(spec)
@@ -280,7 +280,7 @@ def cmd_bench(args) -> int:
             print(f"{n} >={exc.no_set_of_size_le + 1} {exc.subsets_tested} (budget)")
             continue
         elapsed = time.perf_counter() - start
-        print(f"{n} {res.f_k} {res.subsets_tested} {elapsed:.3f}")
+        print(f"{n} {res.f_k} {res.subsets_tested} {res.states_expanded} {elapsed:.3f}")
     return 0
 
 
@@ -310,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_greedy)
 
-    p = subs.add_parser("exact", help="compute F_k by exhaustive search")
+    p = subs.add_parser("exact", help="compute F_k by exact search")
     _add_graph_arg(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None, help="max closure evaluations")
+    p.add_argument("--budget", type=int, default=None, help="max subsets of a size-by-size enumeration")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_exact)
 

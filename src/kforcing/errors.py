@@ -66,10 +66,11 @@ class HypothesisFailedError(KForcingError):
 
 
 class BudgetExceededError(KForcingError):
-    """Exhaustive search stopped early; carries the best lower bound proven.
+    """The exact search stopped at its budget; carries the lower bound proven.
 
-    `no_set_of_size_le` is the largest size s0 for which every subset was
-    tried and rejected, so the k-forcing number is at least s0 + 1.
+    `no_set_of_size_le` is the largest size s0 the budget covered: no set
+    of size <= s0 forces, so the k-forcing number is at least s0 + 1.
+    `subsets_tested` is the number of subsets of sizes 1 .. s0.
     """
 
     def __init__(self, message: str, no_set_of_size_le: int, subsets_tested: int):

@@ -17,7 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .bounds import thm2iii_value
+from .bounds import thm2iii_formula
 from .errors import EmptyGraphError, KForcingError, NotAFixedPointError, NotConnectedError
 from .forcing import ColorState, ForcingEvent, ForcingTrace, _Engine, closure
 from .graph import Graph, build_graph, connected_components, degrees
@@ -64,6 +64,11 @@ def greedy_k_forcing_set(g: Graph, k: int, strategy: str = "min_augmentation") -
         raise EmptyGraphError("graph must have at least one vertex")
     if len(connected_components(g)) != 1:
         raise NotConnectedError("greedy_k_forcing_set requires a connected graph")
+    return _greedy_connected(g, k, strategy)
+
+
+def _greedy_connected(g: Graph, k: int, strategy: str) -> GreedyResult:
+    """`greedy_k_forcing_set` on a graph already known to be connected."""
     if k < 1:
         raise KForcingError(f"k must be a positive integer, got {k}")
     if strategy not in STRATEGIES:
@@ -135,7 +140,7 @@ def greedy_k_forcing_set(g: Graph, k: int, strategy: str = "min_augmentation") -
         engine.color(extra)
         engine.run(touched=touched)
 
-    bound = thm2iii_value(g, k)
+    bound = thm2iii_formula(g.n, delta, big_delta, k)
     if len(team) > math.floor(bound):
         raise KForcingError(f"|T|={len(team)} exceeds floor(thm2iii)={math.floor(bound)} ({bound})")
     team_frozen = frozenset(team)
@@ -164,7 +169,7 @@ def greedy_per_component(g: Graph, k: int, strategy: str = "min_augmentation") -
         raise EmptyGraphError("graph must have at least one vertex")
     components = connected_components(g)
     if len(components) == 1:
-        return [greedy_k_forcing_set(g, k, strategy)]
+        return [_greedy_connected(g, k, strategy)]
     results = []
     for comp in components:
         mapping = comp
@@ -175,7 +180,7 @@ def greedy_per_component(g: Graph, k: int, strategy: str = "min_augmentation") -
             if u in local_index and v in local_index
         ]
         sub = build_graph(len(comp), local_edges)
-        res = greedy_k_forcing_set(sub, k, strategy)
+        res = _greedy_connected(sub, k, strategy)
         if isinstance(res.seed_vertex, tuple):
             seed = (mapping[res.seed_vertex[0]], mapping[res.seed_vertex[1]])
         else:

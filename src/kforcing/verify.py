@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BOUNDS, all_bounds
+from .bounds import BOUNDS, all_bounds, thm2iii_max_terms
 from .corpus import CorpusSpec
 from .errors import BudgetExceededError
 from .exact import exact_f_k, worker_count
@@ -71,7 +71,7 @@ def run_one(graph_id: str, family: str, g: Graph, k: int, budget: int) -> RunRow
     exact: int | None
     exact_lower: int | None = None
     try:
-        exact = exact_f_k(g, k, budget=budget, workers=1).f_k
+        exact = exact_f_k(g, k, budget=budget).f_k
     except BudgetExceededError as exc:
         exact = None
         exact_lower = exc.no_set_of_size_le + 1
@@ -123,8 +123,7 @@ def run_one(graph_id: str, family: str, g: Graph, k: int, budget: int) -> RunRow
     cor1 = values.get("cor1")
     if k == 1 and thm2iii is not None and cor1 is not None:
         obs["cor1_agrees_thm2iii"] = cor1 == thm2iii
-        first = report.delta_min * (k + 1 - report.delta_max) + k
-        second = k * (report.delta_min - report.delta_max + 2)
+        first, second = thm2iii_max_terms(report.delta_min, report.delta_max, k)
         obs["thm2iii_max_branch"] = (
             "tie" if first == second else ("first" if first > second else "second")
         )

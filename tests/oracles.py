@@ -7,6 +7,8 @@ format and structure checks in the tests that import it.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 
@@ -132,3 +134,40 @@ def naive_greedy(g, k: int, strategy: str = "min_augmentation"):
         team |= set(extra)
         colored = naive_closure(g, colored | set(extra), k)
     return team, "THM_III", v, augmentations
+
+
+def brute_exact(g, k: int, budget: int):
+    """Exhaustive F_k: every subset, smallest sizes first, lexicographic within a size.
+
+    Returns (f_k, witness, subsets_tested) or raises the BudgetExceededError
+    the package documents.  The budget is granted size by size: size s is
+    entered only if finishing it would keep the subset count within budget,
+    so an error certifies that no set of the last completed size forces.
+    """
+    from kforcing.errors import BudgetExceededError
+
+    tested = 0
+    for size in range(1, g.n + 1):
+        layer = math.comb(g.n, size)
+        if tested + layer > budget:
+            raise BudgetExceededError(
+                f"budget {budget} reached before completing size {size}; "
+                f"no k-forcing set of size <= {size - 1}",
+                no_set_of_size_le=size - 1,
+                subsets_tested=tested,
+            )
+        for rank, combo in enumerate(itertools.combinations(range(g.n), size)):
+            if len(naive_closure(g, combo, k)) == g.n:
+                return size, combo, tested + rank + 1
+        tested += layer
+    raise AssertionError("the full vertex set always forces itself")
+
+
+def brute_constrained_min(g, k: int, include, exclude):
+    """Least size of a forcing set containing `include` and avoiding `exclude`, or None."""
+    free = [v for v in range(g.n) if v not in include and v not in exclude]
+    for extra in range(len(free) + 1):
+        for combo in itertools.combinations(free, extra):
+            if len(naive_closure(g, set(include) | set(combo), k)) == g.n:
+                return len(include) + extra
+    return None

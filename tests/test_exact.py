@@ -2,12 +2,14 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import kforcing.exact as exact_mod
 from kforcing.bounds import all_bounds
 from kforcing.errors import BudgetExceededError, KForcingError
 from kforcing.exact import (
+    DEFAULT_BUDGET,
     _combination_rank,
+    _wavefront,
     exact_all_minimum_sets,
     exact_f_k,
     worker_count,
@@ -18,6 +20,7 @@ from kforcing.graph import build_graph, degrees, is_connected
 from kforcing.greedy import greedy_per_component
 
 from conftest import connected_graphs, graphs, ks
+from oracles import brute_constrained_min, brute_exact
 
 
 def test_p6_end_vertex():
@@ -109,8 +112,7 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1
 
 
-def test_parallel_witness_independent_of_workers(monkeypatch):
-    monkeypatch.setattr(exact_mod, "PARALLEL_THRESHOLD", 1)
+def test_parallel_witness_independent_of_workers():
     for spec in (
         FamilySpec("petersen"),
         FamilySpec("cycle", (9,)),
@@ -179,3 +181,88 @@ def test_disconnected_additivity(g):
         )
         total += exact_f_k(sub, 1).f_k
     assert exact_f_k(g, 1).f_k == total
+
+
+def _outcome(solve):
+    """(f_k, witness, subsets_tested), or the budget error's certificate and message."""
+    try:
+        res = solve()
+    except BudgetExceededError as exc:
+        return ("budget", exc.no_set_of_size_le, exc.subsets_tested, str(exc))
+    if isinstance(res, tuple):
+        return res
+    return res.f_k, res.witness, res.subsets_tested
+
+
+@given(
+    st.one_of(connected_graphs(max_n=9), graphs(max_n=9)),
+    ks,
+    st.sampled_from((0, 1, 3, 8, 50, 1000, DEFAULT_BUDGET)),
+)
+@settings(max_examples=300, deadline=None)
+def test_matches_brute_force_oracle(g, k, budget):
+    assert _outcome(lambda: exact_f_k(g, k, budget=budget)) == _outcome(
+        lambda: brute_exact(g, k, budget)
+    )
+
+
+# Measured with the subset-enumeration solver this module replaced.
+LADDER_PINS = (
+    ((16, 1), 8, (0, 1, 2, 3, 4, 5, 7, 8), 26342),
+    ((18, 1), 9, None, 106763),
+    ((20, 1), 9, (0, 1, 2, 5, 7, 8, 11, 12, 18), 272122),
+    ((22, 2), 6, None, 40755),
+    ((24, 2), 7, None, 197147),
+    ((22, 3), 4, None, 2069),
+)
+
+
+def test_seeded_ladder_pins():
+    for (n, k), f_k, witness, tested in LADDER_PINS:
+        res = exact_f_k(generate(FamilySpec("gnp_connected", (n, 0.4), seed=42)), k)
+        assert (res.f_k, res.subsets_tested) == (f_k, tested), (n, k)
+        if witness is not None:
+            assert res.witness == witness
+    cube = exact_f_k(generate(FamilySpec("hypercube", (4,))), 1)
+    assert (cube.f_k, cube.subsets_tested) == (8, 26333)
+    g30 = generate(FamilySpec("gnp_connected", (30, 0.4), seed=42))
+    with pytest.raises(BudgetExceededError) as info:
+        exact_f_k(g30, 1, budget=200000)
+    assert (info.value.no_set_of_size_le, info.value.subsets_tested) == (5, 174436)
+
+
+@given(graphs(max_n=8), ks, st.data())
+@settings(max_examples=200, deadline=None)
+def test_constrained_wavefront_matches_enumeration(g, k, data):
+    roles = data.draw(st.lists(st.sampled_from("ife"), min_size=g.n, max_size=g.n))
+    include = [v for v, r in enumerate(roles) if r == "i"]
+    exclude = [v for v, r in enumerate(roles) if r == "e"]
+    want = brute_constrained_min(g, k, include, exclude)
+    cap = data.draw(st.integers(0, g.n))
+    got, _ = _wavefront(
+        g, k, cap, sum(1 << v for v in include), sum(1 << v for v in exclude)
+    )
+    assert got == (want if want is not None and want <= cap else None)
+
+
+def test_capped_search_stops_at_its_cap():
+    # The search keeps one bucket per cost 0..cap, so a push above the cap
+    # would raise IndexError rather than pass unnoticed.
+    g = generate(FamilySpec("gnp_connected", (20, 0.4), seed=42))
+    full = exact_f_k(g, 1)
+    for cap in range(full.f_k):
+        assert _wavefront(g, 1, cap)[0] is None
+    assert _wavefront(g, 1, full.f_k)[0] == full.f_k
+    assert _wavefront(g, 1, full.f_k - 1)[1] < _wavefront(g, 1, full.f_k)[1]
+
+
+def test_states_expanded_is_deterministic():
+    for spec, k in (
+        (FamilySpec("gnp_connected", (18, 0.4), seed=42), 1),
+        (FamilySpec("hypercube", (4,)), 1),
+        (FamilySpec("petersen"), 2),
+    ):
+        g = generate(spec)
+        runs = [exact_f_k(g, k, workers=w).states_expanded for w in (1, 1, 3)]
+        assert runs[0] > 0
+        assert runs == [runs[0]] * 3

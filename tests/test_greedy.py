@@ -193,6 +193,32 @@ def test_per_component_connected_matches_direct():
     assert per == [direct]
 
 
+def test_per_component_scans_a_connected_graph_once(monkeypatch):
+    import kforcing.bounds as bounds_module
+    import kforcing.graph as graph_module
+    import kforcing.greedy as greedy_module
+
+    calls = {"degrees": 0, "connected_components": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    g = generate(FamilySpec("random_regular", (1000, 4), seed=7))
+    for module in (greedy_module, bounds_module, graph_module):
+        counted(module, "degrees")
+    counted(greedy_module, "connected_components")
+    counted(graph_module, "connected_components")
+    (res,) = greedy_per_component(g, 1)
+    assert res.case_taken == THM_III
+    assert calls == {"degrees": 1, "connected_components": 1}
+
+
 def test_per_component_connected_skips_subgraph_rebuild(monkeypatch):
     def no_rebuild(n, edges):
         raise AssertionError("connected input was rebuilt as a subgraph")
@@ -231,7 +257,7 @@ def test_unknown_strategy_rejected():
 
 
 def test_case_bound_violation_raises_typed_error(monkeypatch):
-    monkeypatch.setattr("kforcing.greedy.thm2iii_value", lambda g, k: 0)
+    monkeypatch.setattr("kforcing.greedy.thm2iii_formula", lambda n, delta, big_delta, k: 0)
     with pytest.raises(KForcingError, match="thm2iii"):
         greedy_k_forcing_set(generate(FamilySpec("complete", (5,))), 1)
 
@@ -241,7 +267,7 @@ def test_case_bound_check_survives_python_O():
         "import kforcing.greedy as greedy\n"
         "from kforcing import FamilySpec, KForcingError, generate\n"
         "assert False, 'asserts are live'\n"
-        "greedy.thm2iii_value = lambda g, k: 0\n"
+        "greedy.thm2iii_formula = lambda n, delta, big_delta, k: 0\n"
         "try:\n"
         "    greedy.greedy_k_forcing_set(generate(FamilySpec('complete', (5,))), 1)\n"
         "except KForcingError as exc:\n"

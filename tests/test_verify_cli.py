@@ -367,8 +367,10 @@ def test_cli_verify_json_report(tmp_path, capsys):
 def test_cli_bench_smoke(capsys):
     assert main(["bench", "--max-n", "8"]) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[1] == "n f_k subsets seconds"
+    assert out.splitlines()[1] == "n f_k subsets states seconds"
     assert len(out.splitlines()) == 4  # header x2 + n=6 + n=8
+    for line in out.splitlines()[2:]:
+        assert len(line.split()) == 5 and int(line.split()[3]) > 0
 
 
 def test_cli_stdin_graph(monkeypatch, capsys):
